@@ -43,8 +43,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "workload seed")
 		rtTCP   = flag.Bool("rt-tcp", false, "realtime: capsules over loopback TCP instead of in-process channels")
 		rtDir   = flag.String("rt-dir", "", "realtime: store drives as files under this directory (default: in-memory)")
-		hedge   = flag.String("hedge", "off", "read hedging policy: off | fixed-delay | adaptive-p95 | eager-parity (dRAID only)")
-		hdDelay = flag.Duration("hedge-delay", 0, "fixed-delay hedge trigger (0 = 500µs default)")
+		hdDelay = flag.Duration("hedge-delay", 0, "hedge a read's single straggler after this delay (0 = off; dRAID only)")
 		slow    = flag.String("slow", "", "grey-drive injection, comma-separated member=profile entries (profiles: const:F, fade:F:RAMP, stall:STALL/PERIOD; e.g. 2=const:10,4=stall:2ms/10ms)")
 		wb      = flag.Bool("writeback", false, "host-side write-back staging: small writes ack from host memory and destage as full stripes (dRAID only)")
 		stageMB = flag.Int("stage-mb", 0, "staging buffer size in MiB (0 = 16 MiB default; requires -writeback)")
@@ -84,12 +83,6 @@ func main() {
 			failed = append(failed, m)
 		}
 	}
-	hedgePolicy, err := draid.ParseHedgePolicy(*hedge)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "draid-fio: %v\n", err)
-		os.Exit(2)
-	}
-	hedgeCfg := draid.HedgeConfig{Policy: hedgePolicy, Delay: *hdDelay}
 	type slowEntry struct {
 		member int
 		prof   draid.SlowProfile
@@ -119,9 +112,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "draid-fio: -stage-mb/-cache-mb require -writeback\n")
 		os.Exit(2)
 	}
-	greyPath := hedgePolicy != draid.HedgeOff || len(slows) > 0 || *wb
+	greyPath := *hdDelay != 0 || len(slows) > 0 || *wb
 	if greyPath && sys != experiments.DRAID {
-		fmt.Fprintf(os.Stderr, "draid-fio: -hedge/-slow/-writeback run the dRAID protocol only (got -system %s)\n", *system)
+		fmt.Fprintf(os.Stderr, "draid-fio: -hedge-delay/-slow/-writeback run the dRAID protocol only (got -system %s)\n", *system)
 		os.Exit(2)
 	}
 
@@ -142,7 +135,7 @@ func main() {
 			DriveCapacity: 1 << 30,
 			SizeOnly:      *rtDir == "", // file media need real bytes
 			Seed:          *seed,
-			Hedge:         hedgeCfg,
+			HedgeDelay:    *hdDelay,
 			WriteBack:     *wb,
 			StageMB:       *stageMB,
 			CacheMB:       *cacheMB,
@@ -170,15 +163,15 @@ func main() {
 		out, in = a.HostTraffic()
 	} else if greyPath {
 		a, err := draid.New(draid.Config{
-			Level:     lvl,
-			Drives:    *targets,
-			ChunkSize: *chunk,
-			SizeOnly:  true,
-			Seed:      *seed,
-			Hedge:     hedgeCfg,
-			WriteBack: *wb,
-			StageMB:   *stageMB,
-			CacheMB:   *cacheMB,
+			Level:      lvl,
+			Drives:     *targets,
+			ChunkSize:  *chunk,
+			SizeOnly:   true,
+			Seed:       *seed,
+			HedgeDelay: *hdDelay,
+			WriteBack:  *wb,
+			StageMB:    *stageMB,
+			CacheMB:    *cacheMB,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "draid-fio: %v\n", err)
@@ -218,10 +211,10 @@ func main() {
 		fmt.Printf("host NIC traffic: out=%.2fx in=%.2fx of user bytes\n",
 			float64(out)/float64(user), float64(in)/float64(user))
 	}
-	if arr != nil && hedgePolicy != draid.HedgeOff {
+	if arr != nil && *hdDelay > 0 {
 		st := arr.Stats()
-		fmt.Printf("hedging (%s): %d hedged reads, %d hedge wins\n",
-			hedgePolicy, st.HedgedReads, st.HedgeWins)
+		fmt.Printf("hedging (delay %v): %d hedged reads, %d hedge wins\n",
+			*hdDelay, st.HedgedReads, st.HedgeWins)
 	}
 	if arr != nil && *wb {
 		st := arr.Stats()

@@ -172,61 +172,6 @@ func ParseReducerPolicy(s string) (ReducerPolicy, error) {
 	return 0, fmt.Errorf("draid: unknown reducer policy %q", s)
 }
 
-// HedgePolicy selects when a read hedges its stragglers (see HedgeConfig).
-type HedgePolicy = core.HedgePolicy
-
-// Hedging policies.
-const (
-	// HedgeOff never hedges (the default; the read path is byte-identical
-	// to an array built without hedging support).
-	HedgeOff = core.HedgeOff
-	// HedgeFixedDelay hedges a straggler outstanding longer than
-	// HedgeConfig.Delay.
-	HedgeFixedDelay = core.HedgeFixedDelay
-	// HedgeAdaptiveP95 hedges a straggler outstanding longer than
-	// Multiplier × the median of per-member p95 completion latencies.
-	HedgeAdaptiveP95 = core.HedgeAdaptiveP95
-	// HedgeEagerParity issues the parity read up front with the data reads
-	// and solves with whichever k of the n members complete first.
-	HedgeEagerParity = core.HedgeEagerParity
-)
-
-// ParseHedgePolicy maps a flag-style string ("off", "fixed-delay",
-// "adaptive-p95", "eager-parity"; "" means off) to a policy.
-func ParseHedgePolicy(s string) (HedgePolicy, error) {
-	switch s {
-	case "", "off":
-		return HedgeOff, nil
-	case "fixed", "fixed-delay":
-		return HedgeFixedDelay, nil
-	case "adaptive", "adaptive-p95":
-		return HedgeAdaptiveP95, nil
-	case "eager", "eager-parity":
-		return HedgeEagerParity, nil
-	}
-	return 0, fmt.Errorf("draid: unknown hedge policy %q", s)
-}
-
-// HedgeConfig tunes hedged reads: when an otherwise-complete stripe read is
-// stalled by exactly one slow member, the host reads the stripe's parity
-// chunk, reuses the completions it already holds, and XOR-solves the
-// straggler's range — any k of the n members answer the read. The abandoned
-// straggler feeds the failure detector's grey-failure lattice (see
-// HealthConfig.DegradeAfter), so persistent laggards are eventually evicted
-// rather than hedged forever.
-type HedgeConfig struct {
-	// Policy selects the trigger (default HedgeOff). Use ParseHedgePolicy
-	// at flag boundaries.
-	Policy HedgePolicy
-	// Delay is the HedgeFixedDelay trigger (default 500µs).
-	Delay time.Duration
-	// Multiplier scales the HedgeAdaptiveP95 threshold (default 3).
-	Multiplier float64
-	// MinSamples is the per-member warm-up before adaptive hedging trusts
-	// its latency quantiles (default 32).
-	MinSamples int
-}
-
 // SlowKind classifies slow-drive injection profiles (grey failures: the
 // drive answers correctly, just slowly).
 type SlowKind = backend.SlowKind
@@ -320,16 +265,6 @@ func ParseSlowProfile(s string) (SlowProfile, error) {
 	return bad()
 }
 
-// toCore converts the public hedge config to the core representation.
-func (c HedgeConfig) toCore() core.HedgeConfig {
-	return core.HedgeConfig{
-		Policy:     c.Policy,
-		Delay:      sim.Duration(c.Delay),
-		Multiplier: c.Multiplier,
-		MinSamples: c.MinSamples,
-	}
-}
-
 // toBackend converts the public profile to the backend representation.
 func (p SlowProfile) toBackend() backend.SlowProfile {
 	return backend.SlowProfile{
@@ -376,8 +311,9 @@ type HealthConfig struct {
 	// Grace is the quiet window after which accumulated strikes decay
 	// (default 4×HeartbeatEvery).
 	Grace time.Duration
-	// DegradeAfter is how many slow strikes (hedge losses, see HedgeConfig)
-	// mark a healthy member degraded (default 8).
+	// DegradeAfter is how many slow strikes (stragglers a hedged read
+	// solved around, see Config.HedgeDelay) mark a healthy member degraded
+	// (default 8).
 	DegradeAfter int
 	// EvictAfter is how many slow strikes evict a persistently slow member:
 	// suspect at EvictAfter/2, failed — triggering spare rebuild — at
@@ -453,9 +389,16 @@ type Config struct {
 	// ReducerPolicy selects degraded-read reducer placement (default
 	// ReducerRandom). Use ParseReducerPolicy at flag boundaries.
 	ReducerPolicy ReducerPolicy
-	// Hedge tunes hedged reads against slow (grey-failed) members. The
-	// zero value disables hedging and leaves the read path byte-identical.
-	Hedge HedgeConfig
+	// HedgeDelay, when positive, hedges reads against slow (grey-failed)
+	// members: when an otherwise-complete stripe read is still waiting on
+	// exactly one member after HedgeDelay, the host reads the stripe's
+	// parity chunk, reuses the completions it already holds, and XOR-solves
+	// the straggler's range — any k of the n members answer the read. The
+	// abandoned straggler feeds the failure detector's grey-failure lattice
+	// (see HealthConfig.DegradeAfter), so persistent laggards are
+	// eventually evicted rather than hedged forever. Zero (the default)
+	// disables hedging and leaves the read path byte-identical.
+	HedgeDelay time.Duration
 	// DrivesPerServer co-locates several member drives on one physical
 	// storage server, sharing its NIC and controller core (§5.5 resource
 	// sharing). Default 1.
@@ -565,7 +508,7 @@ type Array struct {
 	// adhocScrub serves ScrubNow on arrays without a supervisor.
 	adhocScrub *repair.Scrubber
 	// scrubRate paces ad-hoc scrub passes; seed feeds per-drive fault
-	// injection (SetLatentErrorRate).
+	// injection (Injector.LatentErrorRate).
 	scrubRate float64
 	seed      int64
 	// vol is non-nil for arrays opened through a Pool: traffic accounting is
@@ -623,10 +566,8 @@ func (cfg Config) validate() error {
 	default:
 		return fmt.Errorf("draid: unknown reducer policy %v", cfg.ReducerPolicy)
 	}
-	switch cfg.Hedge.Policy {
-	case HedgeOff, HedgeFixedDelay, HedgeAdaptiveP95, HedgeEagerParity:
-	default:
-		return fmt.Errorf("draid: unknown hedge policy %v", cfg.Hedge.Policy)
+	if cfg.HedgeDelay < 0 {
+		return fmt.Errorf("draid: negative HedgeDelay %v", cfg.HedgeDelay)
 	}
 	if cfg.ClusterDrives != 0 && !cfg.Declustered {
 		return fmt.Errorf("draid: ClusterDrives requires Declustered")
@@ -710,7 +651,7 @@ func New(cfg Config) (*Array, error) {
 		MaxRetries:   cfg.MaxRetries,
 		RetryBackoff: sim.Duration(cfg.RetryBackoff),
 		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
+		HedgeDelay:   sim.Duration(cfg.HedgeDelay),
 		LayoutFor:    cfg.layoutFor(),
 	}
 	cfg.applyWriteBack(&hostCfg)
@@ -766,7 +707,7 @@ func newRealtime(cfg Config) (*Array, error) {
 		MaxRetries:   cfg.MaxRetries,
 		RetryBackoff: sim.Duration(cfg.RetryBackoff),
 		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
+		HedgeDelay:   sim.Duration(cfg.HedgeDelay),
 		LayoutFor:    cfg.layoutFor(),
 	}
 	cfg.applyWriteBack(&hostCfg)
@@ -1639,23 +1580,6 @@ func (a *Array) injectOnRange(off, n int64, fn func(backend.MediaInjector, int64
 	})
 	return err
 }
-
-// InjectMediaError plants a latent sector error under [off, off+n).
-//
-// Deprecated: use Inject().MediaError, which reports backend support instead
-// of silently assuming it.
-func (a *Array) InjectMediaError(off, n int64) { _ = a.Inject().MediaError(off, n) }
-
-// InjectBitRot silently corrupts the stored bytes under [off, off+n).
-//
-// Deprecated: use Inject().BitRot, which reports backend support instead of
-// panicking on size-only arrays.
-func (a *Array) InjectBitRot(off, n int64) { _ = a.Inject().BitRot(off, n) }
-
-// SetLatentErrorRate gives every member drive a spontaneous URE rate.
-//
-// Deprecated: use Inject().LatentErrorRate, which reports backend support.
-func (a *Array) SetLatentErrorRate(rate float64) { _ = a.Inject().LatentErrorRate(rate) }
 
 // HostEpoch returns the controller's cluster-granted membership epoch
 // (0 when Config.EpochFencing is off).

@@ -239,6 +239,12 @@ func TestInvalidGeometry(t *testing.T) {
 	}
 }
 
+func TestNegativeHedgeDelayRejected(t *testing.T) {
+	if _, err := draid.New(draid.Config{HedgeDelay: -time.Millisecond}); err == nil {
+		t.Fatal("negative HedgeDelay accepted")
+	}
+}
+
 func TestHeterogeneousNICConfig(t *testing.T) {
 	arr := smallArray(t, draid.Config{TargetNICGbpsList: []float64{100, 25}})
 	if err := arr.WriteSync(0, randBytes(8, 32<<10)); err != nil {

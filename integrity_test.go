@@ -31,7 +31,9 @@ func TestScrubRepairsBitRot(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectBitRot(100<<10, 8<<10)
+	if err := arr.Inject().BitRot(100<<10, 8<<10); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := arr.ScrubNow()
 	if err != nil {
@@ -72,7 +74,9 @@ func TestScrubBackgroundPass(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectMediaError(300<<10, 4<<10)
+	if err := arr.Inject().MediaError(300<<10, 4<<10); err != nil {
+		t.Fatal(err)
+	}
 
 	// Nothing reads the damaged range; only the background pass can find it.
 	arr.RunFor(10 * time.Millisecond)
@@ -107,7 +111,9 @@ func TestScrubEventsInRecoveryLog(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectBitRot(64<<10, 4<<10)
+	if err := arr.Inject().BitRot(64<<10, 4<<10); err != nil {
+		t.Fatal(err)
+	}
 	arr.RunFor(10 * time.Millisecond)
 
 	kinds := map[string]int{}
@@ -131,7 +137,9 @@ func TestRepairOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	arr.InjectBitRot(40<<10, 12<<10)
+	if err := arr.Inject().BitRot(40<<10, 12<<10); err != nil {
+		t.Fatal(err)
+	}
 	got, err := arr.ReadSync(32<<10, 32<<10)
 	if err != nil {
 		t.Fatalf("read through bit rot: %v", err)
@@ -165,7 +173,9 @@ func TestMediaErrorDegradedRead(t *testing.T) {
 	if err := arr.WriteSync(0, ref); err != nil {
 		t.Fatal(err)
 	}
-	arr.InjectMediaError(8<<10, 4<<10)
+	if err := arr.Inject().MediaError(8<<10, 4<<10); err != nil {
+		t.Fatal(err)
+	}
 	arr.FailDrive(arr.Controller().Geometry().DataDrive(0, 1))
 
 	got, err := arr.ReadSync(0, 256<<10)
@@ -187,8 +197,12 @@ func TestMediaDoubleFaultTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two different data chunks of stripe 0: reconstruction needs both.
-	arr.InjectMediaError(4<<10, 4<<10)
-	arr.InjectMediaError(geo.ChunkSize+4<<10, 4<<10)
+	if err := arr.Inject().MediaError(4<<10, 4<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.Inject().MediaError(geo.ChunkSize+4<<10, 4<<10); err != nil {
+		t.Fatal(err)
+	}
 
 	_, err := arr.ReadSync(0, geo.StripeDataSize())
 	if err == nil {
@@ -216,7 +230,9 @@ func rebuildWithURE(t *testing.T, cfg draid.Config, seed int64) (*draid.Array, [
 	// them over drives); every survivor chunk is read during rebuild, so
 	// each is guaranteed to be hit.
 	for _, s := range []int64{0, 3, 7} {
-		arr.InjectMediaError(s*geo.StripeDataSize()+int64(seed%4)<<10, 4<<10)
+		if err := arr.Inject().MediaError(s*geo.StripeDataSize()+int64(seed%4)<<10, 4<<10); err != nil {
+			t.Fatal(err)
+		}
 	}
 	member := geo.DataDrive(0, 1)
 	arr.FailDrive(member)
@@ -445,9 +461,13 @@ func TestIntegrityTortureScrubUnderWrites(t *testing.T) {
 				cOff := rng.Int63n(size - 8<<10)
 				cLen := int64(1+rng.Intn(8)) << 10
 				if iter%2 == 0 {
-					arr.InjectBitRot(cOff, cLen)
+					if err := arr.Inject().BitRot(cOff, cLen); err != nil {
+						t.Fatal(err)
+					}
 				} else {
-					arr.InjectMediaError(cOff, cLen)
+					if err := arr.Inject().MediaError(cOff, cLen); err != nil {
+						t.Fatal(err)
+					}
 				}
 				// Random foreground write.
 				wLen := int64(1+rng.Intn(64)) << 10
@@ -509,7 +529,9 @@ func TestIntegrityTortureLatentErrors(t *testing.T) {
 			if err := arr.WriteSync(0, ref); err != nil {
 				t.Fatal(err)
 			}
-			arr.SetLatentErrorRate(0.02)
+			if err := arr.Inject().LatentErrorRate(0.02); err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(seed * 13))
 			for iter := 0; iter < 60; iter++ {
 				n := int64(1+rng.Intn(32)) << 10
@@ -528,7 +550,9 @@ func TestIntegrityTortureLatentErrors(t *testing.T) {
 					t.Fatalf("iter %d read diverged", iter)
 				}
 			}
-			arr.SetLatentErrorRate(0)
+			if err := arr.Inject().LatentErrorRate(0); err != nil {
+				t.Fatal(err)
+			}
 			arr.RunFor(5 * time.Millisecond)
 			verifyHealedDevice(t, arr, ref, seed)
 		})
@@ -544,19 +568,22 @@ func TestIntegrityTortureLatentErrors(t *testing.T) {
 // hot-spare rebuild overlaps the remaining iterations. Every read verifies
 // against a byte model or fails typed over a recorded lost region.
 func TestIntegrityTortureHedgedReads(t *testing.T) {
-	policies := []draid.HedgeConfig{
-		{Policy: draid.HedgeFixedDelay, Delay: 100 * time.Microsecond},
-		{Policy: draid.HedgeAdaptiveP95, MinSamples: 8},
+	delays := []struct {
+		name  string
+		delay time.Duration
+	}{
+		{"fixed-delay", 100 * time.Microsecond},
+		{"fixed-delay-1ms", time.Millisecond},
 	}
-	for _, hc := range policies {
+	for _, hd := range delays {
 		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("%s/seed=%d", hc.Policy, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", hd.name, seed), func(t *testing.T) {
 				arr := integrityArray(t, draid.Config{
 					Level: draid.Raid6, Drives: 6,
 					ChunkSize:     16 << 10,
 					Spares:        1,
 					Seed:          seed,
-					Hedge:         hc,
+					HedgeDelay:    hd.delay,
 					ScrubInterval: 500 * time.Microsecond,
 					ScrubRateMBps: 8000,
 					Health: draid.HealthConfig{
@@ -606,9 +633,13 @@ func TestIntegrityTortureHedgedReads(t *testing.T) {
 					cOff := rng.Int63n(size - 8<<10)
 					cLen := int64(1+rng.Intn(8)) << 10
 					if iter%2 == 0 {
-						arr.InjectBitRot(cOff, cLen)
+						if err := arr.Inject().BitRot(cOff, cLen); err != nil {
+							t.Fatal(err)
+						}
 					} else {
-						arr.InjectMediaError(cOff, cLen)
+						if err := arr.Inject().MediaError(cOff, cLen); err != nil {
+							t.Fatal(err)
+						}
 					}
 					// Read straight over the fresh damage: if the damaged chunk
 					// lives on the grey member, the hedge abandons the very read

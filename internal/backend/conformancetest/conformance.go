@@ -221,7 +221,7 @@ func Run(t *testing.T, f Factory) {
 
 	t.Run("SlowDriveHedgedRead", func(t *testing.T) {
 		cfg := baseConfig()
-		cfg.Hedge = draid.HedgeConfig{Policy: draid.HedgeFixedDelay, Delay: 10 * time.Millisecond}
+		cfg.HedgeDelay = 10 * time.Millisecond
 		a := f(t, cfg)
 		defer a.Close()
 		// Four stripes, so member 1 serves data chunks in several of them no

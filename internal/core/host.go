@@ -62,10 +62,10 @@ type Config struct {
 	// Health, when non-nil, receives per-member evidence from the data path
 	// (see HealthSink). Also settable after construction via SetHealth.
 	Health HealthSink
-	// Hedge configures straggler hedging on the read path (see hedge.go).
-	// The zero value (HedgeOff) leaves the read path byte-identical to the
-	// unhedged implementation.
-	Hedge HedgeConfig
+	// HedgeDelay, when positive, hedges a stripe read whose single
+	// straggler is still outstanding after this long (see hedge.go). Zero
+	// leaves the read path byte-identical to the unhedged implementation.
+	HedgeDelay sim.Duration
 	// WriteBack enables host-side write-back staging: sub-stripe writes are
 	// absorbed into an intent-logged staging buffer, acknowledged
 	// immediately, coalesced by stripe, and destaged as full-stripe writes
@@ -112,8 +112,6 @@ type Config struct {
 	// lease must not be extended. Nil self-renews (the watchdog only fires
 	// on explicit revocation then).
 	RenewLease func() bool
-	// Trace, when non-nil, receives protocol events.
-	Trace func(format string, args ...any)
 	// Tracer, when enabled, records structured stripe-op and per-member RPC
 	// spans plus a host-core utilization gauge. Nil disables.
 	Tracer *trace.Collector
@@ -235,11 +233,6 @@ type HostController struct {
 	// the clean-read cache; nil when disabled.
 	stage *stage
 	cache *readCache
-
-	// hedge is the per-member latency model driving hedged reads; nil
-	// whenever Config.Hedge.Policy is HedgeOff, so the default path pays
-	// nothing.
-	hedge *hedger
 
 	// lost tracks virtual byte ranges whose data exceeded the parity budget
 	// (RAID-5 double faults involving media errors): reads overlapping them
@@ -391,9 +384,6 @@ func NewHost(rt backend.Runtime, fab backend.Transport, driveCapacity int64, cfg
 	h.dyn, _ = cfg.Layout.(placement.Dynamic)
 	for m := range h.memberNode {
 		h.memberNode[m] = NodeID(m)
-	}
-	if cfg.Hedge.Policy != HedgeOff {
-		h.hedge = newHedger(cfg.Hedge, len(h.memberNode))
 	}
 	if cfg.WriteBack {
 		limit := cfg.StageBytes
@@ -607,12 +597,6 @@ func (h *HostController) reportOK(member int) {
 	}
 }
 
-func (h *HostController) trace(format string, args ...any) {
-	if h.cfg.Trace != nil {
-		h.cfg.Trace("[host %8s] "+format, append([]any{h.rt.Now()}, args...)...)
-	}
-}
-
 // handle processes completions arriving from targets.
 func (h *HostController) handle(m Message) {
 	if h.crashed {
@@ -631,8 +615,6 @@ func (h *HostController) handle(m Message) {
 			// the ID sequence, so without this check a zombie's completion
 			// could settle (or fail) the replacement's op of the same ID.
 			h.stats.ForeignCompletions++
-			h.trace("drop foreign-epoch completion id=%d epoch=%d (ours %d)",
-				m.Cmd.ID, m.Cmd.Epoch, h.cfg.Epoch)
 			return
 		}
 		sub, ok := h.inflight[m.Cmd.ID]
@@ -653,8 +635,6 @@ func (h *HostController) handle(m Message) {
 			// paths fall back and re-drive the stripe.
 			h.stats.MediaErrors++
 			member := h.memberOf(m.From)
-			h.trace("completion id=%d from t%d media-error [%d,+%d)",
-				m.Cmd.ID, int(m.From), m.Cmd.Offset, m.Cmd.Length)
 			h.reportOK(member)
 			if op.onMediaErr != nil {
 				hook := op.onMediaErr
@@ -671,14 +651,12 @@ func (h *HostController) handle(m Message) {
 			// failure path reports the typed error) and never charge the
 			// bdev fault evidence for doing its job.
 			h.stats.StaleEpochRejects++
-			h.trace("completion id=%d from t%d stale-epoch: standing down", m.Cmd.ID, int(m.From))
 			h.reportOK(h.memberOf(m.From))
 			h.standDown(blockdev.ErrStaleEpoch)
 			h.failOp(op, nil)
 			return
 		}
 		if m.Cmd.Status != nvmeof.StatusSuccess {
-			h.trace("completion id=%d from t%d status=%v", m.Cmd.ID, int(m.From), m.Cmd.Status)
 			h.reportFault(h.memberOf(m.From), true)
 			h.failOp(op, []NodeID{m.From})
 			return
@@ -688,7 +666,6 @@ func (h *HostController) handle(m Message) {
 			op.onPayload(m.From, m.Cmd, m.Payload)
 		}
 		op.remaining--
-		h.trace("completion id=%d from t%d remaining=%d", m.Cmd.ID, int(m.From), op.remaining)
 		if op.remaining == 0 {
 			h.finishOp(op)
 		}
@@ -761,7 +738,6 @@ func (h *HostController) newStripeOpDeadline(kind string, stripe int64, expect i
 			return
 		}
 		h.stats.Timeouts++
-		h.trace("op id=%d timed out; suspects=%v", op.id, watch)
 		var down, silent []NodeID
 		for _, t := range watch {
 			if op.responded[t] {
@@ -1040,7 +1016,7 @@ func (h *HostController) readIO(off, n int64, cb func(parity.Buffer, error)) {
 		}
 		switch {
 		case len(failedExts) == 0:
-			if h.hedge != nil {
+			if h.cfg.HedgeDelay > 0 {
 				pending++
 				h.hedgedReadStripe(stripe, normal, asm, &fail, maybeDone)
 				continue

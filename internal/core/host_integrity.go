@@ -73,7 +73,6 @@ func (h *HostController) recordLost(stripe int64, member int, lo, hi int64) {
 	v := stripe*h.geo.StripeDataSize() + int64(idx)*h.geo.ChunkSize + lo
 	h.lost.Add(v, hi-lo)
 	h.lostEver++
-	h.trace("lost region: stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
 }
 
 // recordShortfall records the lost region named by a mediaShortfall error,
@@ -595,7 +594,6 @@ func (h *HostController) repairChunkRange(stripe int64, member int, lo, hi int64
 					wOp := h.newStripeOp("repair-write", stripe, 1, []NodeID{target},
 						func() {
 							h.stats.RepairedRanges++
-							h.trace("repaired stripe %d member %d [%d,+%d)", stripe, member, lo, hi-lo)
 							release(nil)
 						},
 						func([]NodeID) {

@@ -291,12 +291,12 @@ func Expectations() []Expectation {
 			}
 			return nil
 		}},
-		{"greyfail", "adaptive hedging cuts read p99 ≥2x under a 10x-slow member (qd=16)", func(f Figure) error {
+		{"greyfail", "hedging cuts read p99 ≥2x under a 10x-slow member (qd=16)", func(f Figure) error {
 			off, err := series(f, "off")
 			if err != nil {
 				return err
 			}
-			ad, err := series(f, "adaptive-p95")
+			fd, err := series(f, "fixed-delay")
 			if err != nil {
 				return err
 			}
@@ -304,13 +304,13 @@ func Expectations() []Expectation {
 			if err != nil {
 				return err
 			}
-			pa, err := at(ad, "qd=16")
+			pf, err := at(fd, "qd=16")
 			if err != nil {
 				return err
 			}
-			if pa.Lat*2 > po.Lat {
-				return fmt.Errorf("read p99: off %.0fus vs adaptive-p95 %.0fus = %.2fx cut, want ≥ 2x",
-					po.Lat, pa.Lat, po.Lat/pa.Lat)
+			if pf.Lat*2 > po.Lat {
+				return fmt.Errorf("read p99: off %.0fus vs fixed-delay %.0fus = %.2fx cut, want ≥ 2x",
+					po.Lat, pf.Lat, po.Lat/pf.Lat)
 			}
 			return nil
 		}},

@@ -11,27 +11,25 @@ import (
 // Greyfail is the grey-failure experiment: one member of an 8-wide RAID-5
 // array is made deterministically slow (10× service-time inflation — it
 // answers correctly, just late) and a full-stripe random-read workload sweeps
-// queue depth under each hedging policy. The figure reports read p99 (Lat)
-// and p999 (Extra) per policy: without hedging every read that touches the
-// grey member waits out its straggler; with hedging the host solves the
-// straggler's chunk through parity from the k completions it already holds.
-// The adaptive series also feeds the failure detector's slow-strike lattice,
-// so the grey member is eventually evicted and reads continue degraded at
-// zero extra cost — the "adaptive/no-evict" series isolates what eviction
-// buys. Notes carry the drive-read amplification each policy paid.
+// queue depth with hedging off and on. The figure reports read p99 (Lat) and
+// p999 (Extra) per series: without hedging every read that touches the grey
+// member waits out its straggler; with a 500µs hedge delay the host solves
+// the straggler's chunk through parity from the k completions it already
+// holds. Hedging also feeds the failure detector's slow-strike lattice, so
+// the grey member is eventually evicted and reads continue degraded at zero
+// extra cost — the "fixed-delay/no-evict" series isolates what eviction
+// buys. Notes carry the drive-read amplification each series paid.
 func Greyfail(o Options) Figure {
 	o = o.withDefaults()
 	qds := []int{8, 16, 32}
 	policies := []greyfailPolicy{
-		{label: "off", policy: draid.HedgeOff},
-		{label: "fixed-delay", policy: draid.HedgeFixedDelay},
-		{label: "adaptive-p95", policy: draid.HedgeAdaptiveP95},
-		{label: "adaptive/no-evict", policy: draid.HedgeAdaptiveP95, noEvict: true},
-		{label: "eager-parity", policy: draid.HedgeEagerParity},
+		{label: "off"},
+		{label: "fixed-delay", delay: 500 * time.Microsecond},
+		{label: "fixed-delay/no-evict", delay: 500 * time.Microsecond, noEvict: true},
 	}
 	if o.Quick {
 		qds = []int{16}
-		policies = policies[:3]
+		policies = policies[:2]
 	}
 
 	type cell struct {
@@ -54,7 +52,7 @@ func Greyfail(o Options) Figure {
 
 	fig := Figure{
 		ID:     "greyfail",
-		Title:  "Grey failure: read p99 vs hedging policy (8-wide RAID-5, full-stripe reads, member 2 at 10x latency)",
+		Title:  "Grey failure: read p99 vs hedging (8-wide RAID-5, full-stripe reads, member 2 at 10x latency)",
 		XLabel: "queue depth",
 		Notes: []string{
 			"Lat column is read p99 in us; Extra (per-point) is p999",
@@ -77,12 +75,12 @@ func Greyfail(o Options) Figure {
 
 type greyfailPolicy struct {
 	label   string
-	policy  draid.HedgePolicy
+	delay   time.Duration // hedge delay; 0 = off
 	noEvict bool
 }
 
-// greyfailPoint measures one (policy, queue depth) cell on a fresh array and
-// returns the fio result plus a note summarizing what the policy cost:
+// greyfailPoint measures one (series, queue depth) cell on a fresh array and
+// returns the fio result plus a note summarizing what the series cost:
 // drive-read amplification over the user bytes, hedge counts, and whether
 // the detector evicted the grey member.
 func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
@@ -92,7 +90,7 @@ func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
 	}
 	arr, err := draid.New(draid.Config{
 		Drives: 8, ChunkSize: 64 << 10, SizeOnly: true, Seed: o.Seed,
-		Hedge: draid.HedgeConfig{Policy: pol.policy},
+		HedgeDelay: pol.delay,
 		Health: draid.HealthConfig{
 			// The detector here consumes only slow strikes from the hedger;
 			// park the heartbeat prober far beyond the run so fault evidence
@@ -136,26 +134,24 @@ func greyfailPoint(o Options, pol greyfailPolicy, qd int) (fio.Result, string) {
 // RealtimeGreyfail is the realtime counterpart: the same grey-failure
 // scenario driven through the realtime backend's memory drives, whose slow
 // profile inflates a synthetic per-op latency instead of a modeled service
-// rate. One point per policy (off vs adaptive-p95) at a fixed queue depth —
-// wall-clock quantiles, so shapes matter, not magnitudes.
+// rate. One point with hedging off and one with a 2ms hedge delay, at a fixed
+// queue depth — wall-clock quantiles, so shapes matter, not magnitudes.
 func RealtimeGreyfail(o Options, ro draid.RealtimeOptions) (Figure, error) {
 	o = o.withDefaults()
 	if ro.Dir != "" {
 		return Figure{}, fmt.Errorf("experiments: greyfail needs slow-drive injection, unsupported on file-backed drives: %w", draid.ErrUnsupported)
 	}
-	policies := []draid.HedgeConfig{
-		{Policy: draid.HedgeOff},
-		{Policy: draid.HedgeFixedDelay, Delay: 2 * time.Millisecond},
-		{Policy: draid.HedgeAdaptiveP95},
+	policies := []greyfailPolicy{
+		{label: "off"},
+		{label: "fixed-delay", delay: 2 * time.Millisecond},
 	}
 	s := Series{System: "dRAID (realtime)"}
-	for _, hc := range policies {
-		pol := hc.Policy
+	for _, pol := range policies {
 		arr, err := draid.New(draid.Config{
 			Backend: draid.BackendRealtime, Realtime: ro,
 			Drives: 8, ChunkSize: 64 << 10, DriveCapacity: 256 << 20,
 			SizeOnly: true, Seed: o.Seed,
-			Hedge: hc,
+			HedgeDelay: pol.delay,
 		})
 		if err != nil {
 			return Figure{}, err
@@ -171,20 +167,20 @@ func RealtimeGreyfail(o Options, ro draid.RealtimeOptions) (Figure, error) {
 		}
 		geo := arr.Controller().Geometry()
 		r := fio.Run(fio.Job{
-			Name: pol.String(), Dev: arr.Controller(), Eng: arr.Cluster().Rt,
+			Name: pol.label, Dev: arr.Controller(), Eng: arr.Cluster().Rt,
 			IOSize: geo.StripeDataSize(), ReadRatio: 1, QueueDepth: 16,
 			Ramp: o.Ramp, Measure: o.Measure, Seed: o.Seed,
 		})
 		arr.Close()
 		s.Points = append(s.Points, Point{
-			X: float64(len(s.Points)), Label: pol.String(),
+			X: float64(len(s.Points)), Label: pol.label,
 			BW: r.BandwidthMBps(), Lat: r.ReadLat.P99 / 1e3, Extra: r.ReadLat.P999 / 1e3,
 		})
 	}
 	return Figure{
 		ID:     "greyfail",
-		Title:  "Grey failure: read p99 by hedging policy (8-wide RAID-5, member 2 at 20x, realtime backend)",
-		XLabel: "policy",
+		Title:  "Grey failure: read p99 with and without hedging (8-wide RAID-5, member 2 at 20x, realtime backend)",
+		XLabel: "hedging",
 		Series: []Series{s},
 		Notes:  []string{"Lat column is read p99 in us; Extra is p999 (wall clock)"},
 	}, nil

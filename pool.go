@@ -142,8 +142,8 @@ type VolumeConfig struct {
 	Extent int64
 	// ReducerPolicy selects degraded-read reducer placement.
 	ReducerPolicy ReducerPolicy
-	// Hedge tunes hedged reads against slow members (see HedgeConfig).
-	Hedge HedgeConfig
+	// HedgeDelay hedges reads against slow members (see Config.HedgeDelay).
+	HedgeDelay time.Duration
 	// QoSWeight is this volume's share weight under the pool's QoS
 	// scheduler (default 1; larger is more; ignored without
 	// PoolConfig.QoSWindowBytes).
@@ -196,7 +196,7 @@ func (p *Pool) OpenVolume(cfg VolumeConfig) (*Array, error) {
 		MaxRetries:   cfg.MaxRetries,
 		RetryBackoff: sim.Duration(cfg.RetryBackoff),
 		Deadline:     sim.Duration(cfg.OpDeadline),
-		Hedge:        cfg.Hedge.toCore(),
+		HedgeDelay:   sim.Duration(cfg.HedgeDelay),
 		QoSWeight:    cfg.QoSWeight,
 	}
 	Config{WriteBack: cfg.WriteBack, StageMB: cfg.StageMB, CacheMB: cfg.CacheMB,

@@ -42,8 +42,8 @@ if [ "${FULL:-0}" = "1" ]; then
     go test -run '^$' -bench . -benchtime 1x ./internal/gf256 ./internal/parity .
     # Grey-failure smoke: hedged reads against an injected slow drive on the
     # sim and realtime backends, plus the greyfail figure in quick mode.
-    go run ./cmd/draid-fio -hedge adaptive-p95 -slow 2=const:10 -ratio 1 -qd 16 -ramp 10ms -measure 40ms
-    go run ./cmd/draid-fio -backend realtime -hedge fixed-delay -hedge-delay 2ms -slow '2=const:20' -ratio 1 -qd 16 -ramp 10ms -measure 40ms
+    go run ./cmd/draid-fio -hedge-delay 500us -slow 2=const:10 -ratio 1 -qd 16 -ramp 10ms -measure 40ms
+    go run ./cmd/draid-fio -backend realtime -hedge-delay 2ms -slow '2=const:20' -ratio 1 -qd 16 -ramp 10ms -measure 40ms
     go run ./cmd/draid-bench -fig greyfail -quick -ramp 10ms -measure 40ms
     go run ./cmd/draid-bench -backend realtime -fig greyfail -ramp 10ms -measure 40ms
     # Write-back staging smoke: staged small writes on both backends, plus

@@ -149,8 +149,8 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 			arr, err := draid.New(draid.Config{
 				Drives: 5, ChunkSize: 16 << 10, DriveCapacity: 1 << 20, Seed: seed,
 				WriteBack: true, StageMB: 1, DestageIntervalMs: 1,
-				Integrity: true,
-				Hedge:     draid.HedgeConfig{Policy: draid.HedgeAdaptiveP95},
+				Integrity:  true,
+				HedgeDelay: 500 * time.Microsecond,
 			})
 			if err != nil {
 				t.Fatal(err)
