@@ -70,7 +70,7 @@ func TestDeclusteredDegradedReadAndRebuild(t *testing.T) {
 	// Many-to-many rebuild: chunks relocate into distributed spare slots,
 	// the drive is retired, and redundancy is restored without a spare
 	// endpoint.
-	if err := arr.RebuildDrive(3, 0); err != nil {
+	if err := arr.RebuildDrive(3); err != nil {
 		t.Fatal(err)
 	}
 	// A second, different failure must now be survivable.
@@ -82,7 +82,7 @@ func TestDeclusteredDegradedReadAndRebuild(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read after rebuild + second failure mismatch")
 	}
-	if err := arr.RebuildDrive(5, 0); err != nil {
+	if err := arr.RebuildDrive(5); err != nil {
 		t.Fatal(err)
 	}
 	st, err := arr.ScrubNow()

@@ -420,9 +420,10 @@ type Config struct {
 	Spares int
 	// Health configures automatic failure detection.
 	Health HealthConfig
-	// RebuildRateMBps throttles hot-spare rebuild to this many MB/s of
-	// reconstructed data (the Figure 17 rebuild-vs-foreground knob).
-	// 0 means unthrottled.
+	// RebuildRateMBps throttles every rebuild — the supervisor's hot-spare
+	// rebuilds and manual RebuildDrive calls alike — and AddDrive/RemoveDrive
+	// rebalancing to this many MB/s of reconstructed or relocated chunk data
+	// (the Figure 17 rebuild-vs-foreground knob). 0 means unthrottled.
 	RebuildRateMBps float64
 	// Integrity enables end-to-end data integrity: storage servers keep a
 	// CRC32C per 4 KB block (a T10-DIF stand-in, computed by the drive
@@ -505,8 +506,13 @@ type Array struct {
 	// sup is the fault-supervision stack (nil unless Spares, Health.Detect,
 	// or ScrubInterval was configured).
 	sup *repair.Supervisor
-	// adhocScrub serves ScrubNow on arrays without a supervisor.
-	adhocScrub *repair.Scrubber
+	// adhocScrub serves ScrubNow, and adhocRebuild RebuildDrive, on arrays
+	// without a supervisor.
+	adhocScrub   *repair.Scrubber
+	adhocRebuild *repair.Rebuilder
+	// rebuildCfg is the rebuild rate budget: the supervisor's rebuilder and
+	// adhocRebuild both draw from it.
+	rebuildCfg repair.RebuilderConfig
 	// scrubRate paces ad-hoc scrub passes; seed feeds per-drive fault
 	// injection (Injector.LatentErrorRate).
 	scrubRate float64
@@ -670,7 +676,8 @@ func New(cfg Config) (*Array, error) {
 	}
 	host := cl.NewDRAID(hostCfg)
 	arr := &Array{cl: cl, host: host, dev: host, clientNode: cl.HostNode, hostCfg: hostCfg,
-		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed}
+		scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed,
+		rebuildCfg: repair.RebuilderConfig{RateMBps: cfg.RebuildRateMBps}}
 	arr.attachSupervisor(cfg)
 	if cfg.OffloadController {
 		clientNode := cl.Net.NewNode("client")
@@ -719,7 +726,8 @@ func newRealtime(cfg Config) (*Array, error) {
 	}
 	host := cl.NewDRAID(hostCfg)
 	arr := &Array{cl: cl, host: host, dev: loopDev{rt: cl.Rt, dev: host},
-		hostCfg: hostCfg, scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: true}
+		hostCfg: hostCfg, scrubRate: cfg.ScrubRateMBps, seed: cfg.Seed, realtime: true,
+		rebuildCfg: repair.RebuilderConfig{RateMBps: cfg.RebuildRateMBps}}
 	arr.attachSupervisor(cfg)
 	return arr, nil
 }
@@ -743,7 +751,7 @@ func (cfg Config) layoutFor() func(base, extent int64) placement.Layout {
 	return func(base, extent int64) placement.Layout {
 		l, err := placement.NewDeclustered(base, extent, chunk, width, drives, seed)
 		if err != nil {
-			// validate() enforced width ≥ 2, drives > width, extent ≥ chunk.
+			// validate() and Pool.OpenVolume enforce the preconditions.
 			panic(err.Error())
 		}
 		return l
@@ -776,7 +784,8 @@ func (cfg Config) applyWriteBack(hc *core.Config) {
 }
 
 // attachSupervisor builds the fault-supervision stack when the config asks
-// for one. Shared by both backends.
+// for one (Spares, Health and the scrub fields; the rebuild budget is the
+// array's rebuildCfg). Shared by both backends and Pool.OpenVolume.
 func (a *Array) attachSupervisor(cfg Config) {
 	if cfg.Spares == 0 && !cfg.Health.Detect && cfg.ScrubInterval == 0 {
 		return
@@ -796,7 +805,7 @@ func (a *Array) attachSupervisor(cfg Config) {
 	}
 	a.sup = repair.NewSupervisor(a.cl.Rt, a.host, repair.Config{
 		Detector: det,
-		Rebuild:  repair.RebuilderConfig{RateMBps: cfg.RebuildRateMBps},
+		Rebuild:  a.rebuildCfg,
 		Scrub: repair.ScrubberConfig{
 			Interval: sim.Duration(cfg.ScrubInterval),
 			RateMBps: cfg.ScrubRateMBps,
@@ -1037,7 +1046,9 @@ func (a *Array) CrashDrive(i int) {
 }
 
 // RecoverDrive returns member i to service WITHOUT resynchronizing its
-// contents; use RebuildDrive to restore redundancy first.
+// contents: writes it missed while down leave its chunks stale. Use
+// RebuildDrive instead to restore redundancy; it returns the member to
+// service itself.
 func (a *Array) RecoverDrive(i int) {
 	a.cl.RecoverTarget(i)
 	a.call(func() { a.host.SetFailed(i, false) })
@@ -1050,101 +1061,58 @@ func (a *Array) FailedDrives() []int {
 	return out
 }
 
-// RebuildDrive reconstructs every stripe chunk of failed member i via the
-// disaggregated reconstruction path and writes the images to the (replaced)
-// drive, then returns the member to service. stripes bounds the work for
-// experiments; pass 0 to rebuild the full device.
-func (a *Array) RebuildDrive(i int, stripes int64) error {
-	var decl bool
-	a.call(func() { decl = a.host.Declustered() })
-	if decl {
-		return a.rebuildDeclustered(i, stripes)
-	}
-	if stripes <= 0 {
-		// Derive the stripe count from the device size, so a volume sharing
-		// its drives rebuilds only its own extent.
-		stripes = a.host.Size() / a.host.Geometry().StripeDataSize()
-	}
-	// The replacement drive accepts writes while reads still avoid it.
-	a.cl.RecoverTarget(i)
-	// Rebuild in place through the frontier machinery: each stripe is
-	// reconstructed and written under its stripe write lock, and foreground
-	// I/O (including write-back destages) below the advancing frontier treats
-	// the member as healthy again. Without the lock and frontier, a destage
-	// racing the rebuild could encode staged data into parity of an
-	// already-rebuilt stripe and strand it behind the stale replacement image.
-	var dupErr error
-	a.call(func() {
-		if _, _, ok := a.host.Rebuilding(i); ok {
-			dupErr = fmt.Errorf("draid: member %d already rebuilding", i)
-			return
-		}
-		a.host.StartRebuild(i, a.host.MemberNode(i))
-	})
-	if dupErr != nil {
-		return dupErr
-	}
-	var rebuildErr error
-	for s := int64(0); s < stripes; s++ {
-		s := s
-		done := false
-		a.call(func() {
-			a.host.RebuildStripe(s, i, func(err error) {
-				if err != nil {
-					rebuildErr = fmt.Errorf("draid: rebuilding stripe %d: %w", s, err)
-				}
-				done = true
-			})
-		})
+// RebuildDrive restores the redundancy failed member i provided and returns
+// when it is done. It runs the array's one rebuild engine — the
+// supervisor's when there is one, so the recovery log records it — paced
+// by Config.RebuildRateMBps (on pool volumes, the pool's shared budget). On
+// the fixed layout the member's replaced drive is rebuilt in place and
+// returned to service; on a declustered layout the drive's chunks relocate
+// into distributed spare slots and the drive is retired. If the engine is
+// busy, say with a supervisor's spare rebuild, RebuildDrive first waits
+// for it, and returns nil without rebuilding once i no longer needs it.
+func (a *Array) RebuildDrive(i int) error {
+	var busy, decl, needed bool
+	a.call(func() { busy = a.rebuilder().Status().Active })
+	if busy {
 		a.cl.Rt.Run()
-		if !done || rebuildErr != nil {
-			if rebuildErr == nil {
-				rebuildErr = fmt.Errorf("draid: rebuild of stripe %d stalled", s)
-			}
-			a.call(func() { a.host.AbortRebuild(i) })
-			return rebuildErr
-		}
 	}
-	a.call(func() { a.host.FinishRebuild(i) })
-	return nil
+	a.call(func() { decl, needed = a.host.Declustered(), a.host.NeedsRebuild(i) })
+	if !needed {
+		return nil
+	}
+	if !decl {
+		// The replacement drive accepts writes while reads still avoid it;
+		// the rebuild frontier returns it to service stripe by stripe.
+		a.cl.RecoverTarget(i)
+	}
+	var err error
+	done := false
+	a.call(func() {
+		cb := func(e error) { err, done = e, true }
+		if a.sup != nil {
+			a.sup.Rebuild(i, a.host.MemberNode(i), cb)
+		} else {
+			a.rebuilder().Rebuild(i, a.host.MemberNode(i), cb)
+		}
+	})
+	a.cl.Rt.Run()
+	if !done {
+		a.call(func() { a.rebuilder().Abandon(fmt.Errorf("draid: rebuild of member %d stalled", i)) })
+	}
+	return err
 }
 
-// rebuildDeclustered is the many-to-many rebuild behind RebuildDrive on a
-// declustered array: each chunk the layout places on drive i is
-// reconstructed into an idle spare slot of its own row, spreading reads
-// and writes over the whole cluster. The drive is not returned to service —
-// its chunks now live elsewhere — and is retired in the layout once empty.
-func (a *Array) rebuildDeclustered(drive int, stripes int64) error {
-	var slots []placement.Slot
-	a.call(func() { slots = a.host.PlacementSlots(drive) })
-	partial := false
-	if stripes > 0 && int64(len(slots)) > stripes {
-		slots, partial = slots[:stripes], true
+// rebuilder returns the array's one rebuild engine: the supervisor's, or a
+// private one built on first use from the same rebuild budget. Runs inside
+// call().
+func (a *Array) rebuilder() *repair.Rebuilder {
+	if a.sup != nil {
+		return a.sup.Rebuilder()
 	}
-	var rebuildErr error
-	for _, sl := range slots {
-		sl := sl
-		done := false
-		a.call(func() {
-			a.host.RebuildSlot(sl.Stripe, drive, func(err error) {
-				if err != nil {
-					rebuildErr = fmt.Errorf("draid: rebuilding stripe %d: %w", sl.Stripe, err)
-				}
-				done = true
-			})
-		})
-		a.cl.Rt.Run()
-		if !done || rebuildErr != nil {
-			if rebuildErr == nil {
-				rebuildErr = fmt.Errorf("draid: rebuild of stripe %d stalled", sl.Stripe)
-			}
-			return rebuildErr
-		}
+	if a.adhocRebuild == nil {
+		a.adhocRebuild = repair.NewRebuilder(a.cl.Rt, a.host, a.rebuildCfg, a.cl.Tracer)
 	}
-	if !partial {
-		a.call(func() { a.host.RetireDrive(drive) })
-	}
-	return nil
+	return a.adhocRebuild
 }
 
 // RebalanceStatus re-exports the rebalancer's progress snapshot.
@@ -1252,14 +1220,16 @@ func (a *Array) MemberHealth() []MemberState {
 	return out
 }
 
-// RebuildStatus reports hot-spare rebuild progress (zero value when no
-// supervisor is configured or no rebuild is running).
+// RebuildStatus reports the progress of the array's rebuild engine — a
+// supervisor's hot-spare rebuild or a manual RebuildDrive, whichever ran
+// last (zero value before any rebuild).
 func (a *Array) RebuildStatus() RebuildStatus {
-	if a.sup == nil {
-		return RebuildStatus{}
-	}
 	var st RebuildStatus
-	a.call(func() { st = a.sup.Rebuilder().Status() })
+	a.call(func() {
+		if a.sup != nil || a.adhocRebuild != nil {
+			st = a.rebuilder().Status()
+		}
+	})
 	return st
 }
 
@@ -1710,6 +1680,9 @@ func (a *Array) rebind(replacement *core.HostController) {
 	}
 	if a.adhocScrub != nil {
 		a.adhocScrub.Rebind(replacement)
+	}
+	if a.adhocRebuild != nil {
+		a.adhocRebuild.Rebind(replacement)
 	}
 	a.host = replacement
 	if a.realtime {

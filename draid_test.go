@@ -73,14 +73,23 @@ func TestDegradedReadThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// The rebuild covers the whole device: a degraded write to the last stripe
+// while the member is down must survive a second failure after the rebuild.
 func TestRebuildDriveRestoresRedundancy(t *testing.T) {
-	arr := smallArray(t, draid.Config{Drives: 5})
-	data := randBytes(3, 4*64<<10) // one full stripe
-	if err := arr.WriteSync(0, data); err != nil {
-		t.Fatal(err)
+	arr := smallArray(t, draid.Config{Drives: 5, DriveCapacity: 4 << 20})
+	model := make([]byte, arr.Size())
+	const stripe = 4 * 64 << 10
+	write := func(off int64, data []byte) {
+		t.Helper()
+		if err := arr.WriteSync(off, data); err != nil {
+			t.Fatal(err)
+		}
+		copy(model[off:], data)
 	}
+	write(0, randBytes(3, stripe))
 	arr.FailDrive(2)
-	if err := arr.RebuildDrive(2, 4); err != nil {
+	write(arr.Size()-stripe, randBytes(4, stripe))
+	if err := arr.RebuildDrive(2); err != nil {
 		t.Fatal(err)
 	}
 	if len(arr.FailedDrives()) != 0 {
@@ -88,11 +97,11 @@ func TestRebuildDriveRestoresRedundancy(t *testing.T) {
 	}
 	// Fail a DIFFERENT drive: reads must now lean on the rebuilt one.
 	arr.FailDrive(0)
-	got, err := arr.ReadSync(0, int64(len(data)))
+	got, err := arr.ReadSync(0, arr.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(got, model) {
 		t.Fatal("data lost after rebuild + second failure")
 	}
 }

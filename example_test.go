@@ -31,7 +31,7 @@ func Example() {
 	}
 	fmt.Printf("degraded read: %q\n", got)
 
-	if err := arr.RebuildDrive(0, 1); err != nil {
+	if err := arr.RebuildDrive(0); err != nil {
 		panic(err)
 	}
 	fmt.Printf("failed drives after rebuild: %d\n", len(arr.FailedDrives()))

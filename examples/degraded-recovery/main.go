@@ -51,8 +51,8 @@ func main() {
 	copy(content[:chunk], update)
 	fmt.Println("degraded write absorbed by parity")
 
-	// Replace the drive and rebuild its 16 used stripes.
-	if err := arr.RebuildDrive(2, 16); err != nil {
+	// Replace the drive and rebuild it.
+	if err := arr.RebuildDrive(2); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("rebuild complete; failed drives now: %v\n", arr.FailedDrives())

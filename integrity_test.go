@@ -236,7 +236,7 @@ func rebuildWithURE(t *testing.T, cfg draid.Config, seed int64) (*draid.Array, [
 	}
 	member := geo.DataDrive(0, 1)
 	arr.FailDrive(member)
-	if err := arr.RebuildDrive(member, 0); err != nil {
+	if err := arr.RebuildDrive(member); err != nil {
 		t.Fatalf("rebuild across UREs: %v", err)
 	}
 	return arr, ref, member

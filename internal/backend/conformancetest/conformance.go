@@ -138,7 +138,7 @@ func Run(t *testing.T, f Factory) {
 			t.Fatalf("write: %v", err)
 		}
 		a.FailDrive(2)
-		if err := a.RebuildDrive(2, 0); err != nil {
+		if err := a.RebuildDrive(2); err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
 		if failed := a.FailedDrives(); len(failed) != 0 {
@@ -334,7 +334,7 @@ func Run(t *testing.T, f Factory) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("degraded read: payload mismatch")
 		}
-		if err := a.RebuildDrive(2, 0); err != nil {
+		if err := a.RebuildDrive(2); err != nil {
 			t.Fatalf("declustered rebuild: %v", err)
 		}
 		// Redundancy must be whole again: a second failure on a different
@@ -440,10 +440,10 @@ func Run(t *testing.T, f Factory) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("double-degraded read: P+Q solve wrong")
 		}
-		if err := a.RebuildDrive(1, 0); err != nil {
+		if err := a.RebuildDrive(1); err != nil {
 			t.Fatalf("rebuild first failed drive: %v", err)
 		}
-		if err := a.RebuildDrive(3, 0); err != nil {
+		if err := a.RebuildDrive(3); err != nil {
 			t.Fatalf("rebuild second failed drive: %v", err)
 		}
 		// Redundancy must be fully restored: two fresh failures reconstruct

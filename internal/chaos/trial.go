@@ -374,7 +374,7 @@ func (t *trialState) verify() {
 	budget := 1 // Raid5
 	if len(failed) > 0 && len(failed) <= budget {
 		for _, d := range failed {
-			if err := t.a.RebuildDrive(d, 0); err != nil {
+			if err := t.a.RebuildDrive(d); err != nil {
 				t.violate("post-heal rebuild of member %d: %v", d, err)
 				return
 			}

@@ -389,6 +389,20 @@ func (h *HostController) AddDrive(node NodeID) (int, error) {
 	return idx, nil
 }
 
+// NeedsRebuild reports whether a drive is failed with data only a rebuild
+// can restore: a fixed member with no rebuild in flight, or a declustered
+// drive that still holds chunks.
+func (h *HostController) NeedsRebuild(drive int) bool {
+	if !h.failed[drive] {
+		return false
+	}
+	if h.dyn != nil {
+		return len(h.dyn.Slots(drive)) > 0
+	}
+	_, busy := h.rebuilds[drive]
+	return !busy
+}
+
 // RetireDrive marks a drive removed in the layout: ClaimSpare and future
 // rebalances never target it again. Chunks must already be migrated off
 // (EvictSlot) or rebuilt elsewhere (RebuildSlot).

@@ -93,7 +93,7 @@ func declusterPoint(o Options, drives int, declustered bool) Point {
 	before := driveWrites()
 	start := arr.Now()
 	arr.FailDrive(victim)
-	if err := arr.RebuildDrive(victim, 0); err != nil {
+	if err := arr.RebuildDrive(victim); err != nil {
 		panic(fmt.Sprintf("decluster: rebuild d=%d declustered=%v: %v", drives, declustered, err))
 	}
 	elapsed := sim.Duration(arr.Now() - start)
@@ -169,7 +169,7 @@ func RealtimeDecluster(o Options, ro draid.RealtimeOptions) (Figure, error) {
 			before := driveWrites()
 			start := arr.Now()
 			arr.FailDrive(1)
-			if err := arr.RebuildDrive(1, 0); err != nil {
+			if err := arr.RebuildDrive(1); err != nil {
 				return Figure{}, err
 			}
 			elapsed := sim.Duration(arr.Now() - start)

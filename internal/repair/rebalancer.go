@@ -6,7 +6,6 @@ import (
 	"draid/internal/backend"
 	"draid/internal/core"
 	"draid/internal/placement"
-	"draid/internal/sim"
 	"draid/internal/trace"
 )
 
@@ -39,7 +38,6 @@ type Rebalancer struct {
 
 	track  trace.Track
 	tracer *trace.Collector
-	span   *trace.Op
 }
 
 // NewRebalancer builds a rebalance manager sharing the rebuilder's rate
@@ -64,52 +62,6 @@ func (r *Rebalancer) Rebind(h *core.HostController) { r.host = h }
 // Status returns a snapshot of the current (or last) rebalance.
 func (r *Rebalancer) Status() RebalanceStatus { return r.status }
 
-// chunkGap returns the token-bucket spacing between relocations at the
-// private rate; the shared limiter replaces it when configured.
-func (r *Rebalancer) chunkGap() sim.Duration {
-	if r.cfg.RateMBps <= 0 {
-		return 0
-	}
-	bytesPerNs := r.cfg.RateMBps * 1e6 / 1e9
-	return sim.Duration(float64(r.host.Geometry().ChunkSize) / bytesPerNs)
-}
-
-func (r *Rebalancer) pace(lastStart *sim.Time, gap sim.Duration, run func()) {
-	if r.cfg.Limiter != nil {
-		if wait := r.cfg.Limiter.Reserve(r.host.Geometry().ChunkSize); wait > 0 {
-			r.eng.After(wait, run)
-		} else {
-			r.eng.Defer(run)
-		}
-		return
-	}
-	if wait := sim.Duration(*lastStart+sim.Time(gap)) - sim.Duration(r.eng.Now()); gap > 0 && wait > 0 {
-		r.eng.After(wait, run)
-	} else {
-		r.eng.Defer(run)
-	}
-}
-
-func (r *Rebalancer) begin(drive int, drain bool, total int, label string) {
-	r.status = RebalanceStatus{Active: true, Drive: drive, Drain: drain, Total: total}
-	if r.tracer.Enabled() {
-		r.span = r.tracer.Begin(r.track, "repair", label, trace.I64("chunks", int64(total)))
-	}
-}
-
-func (r *Rebalancer) finish(err error, cb func(error)) {
-	if r.span != nil {
-		result := "ok"
-		if err != nil {
-			result = "aborted"
-		}
-		r.span.End(trace.Str("result", result))
-		r.span = nil
-	}
-	r.status.Active = false
-	cb(err)
-}
-
 // Fill migrates a fair share of existing chunks onto a freshly added drive
 // (the host must already have grown its drive set via AddDrive). A planned
 // move whose target row slot has meanwhile been claimed is skipped — the
@@ -125,37 +77,20 @@ func (r *Rebalancer) Fill(drive int, cb func(error)) {
 		return
 	}
 	moves := dyn.PlanAdd(drive)
-	r.begin(drive, false, len(moves), fmt.Sprintf("rebalance onto d%d", drive))
-	gap := r.chunkGap()
-	lastStart := r.eng.Now()
-
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(moves) {
-			r.finish(nil, cb)
+	r.run(drive, false, len(moves), fmt.Sprintf("rebalance onto d%d", drive), func(i int64, next func(error)) {
+		m := moves[i]
+		if !dyn.ClaimDrive(m.Stripe, m.To) {
+			r.status.Skipped++
+			next(nil)
 			return
 		}
-		run := func() {
-			lastStart = r.eng.Now()
-			m := moves[i]
-			if !dyn.ClaimDrive(m.Stripe, m.To) {
-				r.status.Skipped++
-				r.status.Done = i + 1
-				step(i + 1)
-				return
+		r.host.MigrateStripeChunk(m.Stripe, m.Member, m.To, func(err error) {
+			if err != nil {
+				err = fmt.Errorf("repair: rebalance stripe %d member %d → d%d: %w", m.Stripe, m.Member, m.To, err)
 			}
-			r.host.MigrateStripeChunk(m.Stripe, m.Member, m.To, func(err error) {
-				if err != nil {
-					r.finish(fmt.Errorf("repair: rebalance stripe %d member %d → d%d: %w", m.Stripe, m.Member, m.To, err), cb)
-					return
-				}
-				r.status.Done = i + 1
-				step(i + 1)
-			})
-		}
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
+			next(err)
+		})
+	}, cb)
 }
 
 // Drain migrates every chunk off a drive being removed into spare slots on
@@ -173,28 +108,32 @@ func (r *Rebalancer) Drain(drive int, cb func(error)) {
 	}
 	r.host.RetireDrive(drive)
 	slots := r.host.PlacementSlots(drive)
-	r.begin(drive, true, len(slots), fmt.Sprintf("drain d%d", drive))
-	gap := r.chunkGap()
-	lastStart := r.eng.Now()
+	r.run(drive, true, len(slots), fmt.Sprintf("drain d%d", drive), func(i int64, next func(error)) {
+		r.host.EvictSlot(slots[i].Stripe, drive, func(err error) {
+			if err != nil {
+				err = fmt.Errorf("repair: drain stripe %d off d%d: %w", slots[i].Stripe, drive, err)
+			}
+			next(err)
+		})
+	}, cb)
+}
 
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(slots) {
-			r.finish(nil, cb)
-			return
-		}
-		run := func() {
-			lastStart = r.eng.Now()
-			r.host.EvictSlot(slots[i].Stripe, drive, func(err error) {
-				if err != nil {
-					r.finish(fmt.Errorf("repair: drain stripe %d off d%d: %w", slots[i].Stripe, drive, err), cb)
-					return
-				}
-				r.status.Done = i + 1
-				step(i + 1)
-			})
-		}
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
+// run walks total relocations, one chunk's bytes each from the rebuild
+// rate budget, counting each completed (or skipped) one in the status, and
+// stops on the first error.
+func (r *Rebalancer) run(drive int, drain bool, total int, label string, step func(i int64, next func(error)), cb func(error)) {
+	r.status = RebalanceStatus{Active: true, Drive: drive, Drain: drain, Total: total}
+	span := r.tracer.Begin(r.track, "repair", label, trace.I64("chunks", int64(total)))
+	r.cfg.walker(r.eng, r.host).walk(int64(total), func(i int64, next func(error)) {
+		step(i, func(err error) {
+			if err == nil {
+				r.status.Done = int(i) + 1
+			}
+			next(err)
+		})
+	}, func(err error) {
+		span.End(outcome(err))
+		r.status.Active = false
+		cb(err)
+	})
 }

@@ -5,7 +5,7 @@ import (
 
 	"draid/internal/backend"
 	"draid/internal/core"
-	"draid/internal/sim"
+	"draid/internal/placement"
 	"draid/internal/trace"
 )
 
@@ -27,6 +27,11 @@ type RebuilderConfig struct {
 	OnLost func(stripe int64)
 }
 
+// walker paces a rebuild or rebalance at one chunk's bytes per step.
+func (cfg RebuilderConfig) walker(eng backend.Runtime, h *core.HostController) walker {
+	return walker{eng: eng, RateMBps: cfg.RateMBps, Limiter: cfg.Limiter, cost: h.Geometry().ChunkSize}
+}
+
 // RebuildStatus is a snapshot of rebuild progress.
 type RebuildStatus struct {
 	Active       bool
@@ -39,20 +44,22 @@ type RebuildStatus struct {
 	LostRegions int64
 }
 
-// Rebuilder copies a failed member's chunks onto a hot spare stripe by
-// stripe, using the host's disaggregated reconstruction (§6) under the
-// per-stripe write lock, paced by a token-bucket rate limit so foreground
-// I/O keeps serving.
+// Rebuilder restores a failed member's chunks stripe by stripe, using the
+// host's disaggregated reconstruction (§6) under the per-stripe write lock,
+// paced by a token-bucket rate limit so foreground I/O keeps serving. It is
+// the only rebuild engine: the supervisor's spare rebuilds and the manual
+// Array.RebuildDrive both run through it.
 type Rebuilder struct {
 	eng  backend.Runtime
 	host *core.HostController
 	cfg  RebuilderConfig
 
 	status RebuildStatus
+	// end stops the active rebuild's walk (see Abandon).
+	end func(error)
 
 	track  trace.Track
 	tracer *trace.Collector
-	span   *trace.Op
 }
 
 // NewRebuilder builds a rebuild manager for the host.
@@ -82,167 +89,86 @@ func (r *Rebuilder) TotalStripes() int64 {
 	return r.host.Size() / (int64(geo.DataChunks()) * geo.ChunkSize)
 }
 
-// stripeGap returns the token-bucket spacing between stripe starts: the
-// virtual time one rebuilt chunk's bytes take at the configured rate.
-func (r *Rebuilder) stripeGap() sim.Duration {
-	if r.cfg.RateMBps <= 0 {
-		return 0
-	}
-	bytesPerNs := r.cfg.RateMBps * 1e6 / 1e9
-	return sim.Duration(float64(r.host.Geometry().ChunkSize) / bytesPerNs)
-}
-
-// Rebuild reconstructs every stripe of member onto dest, then promotes dest
-// to be member's endpoint (FinishRebuild). On any stripe error the rebuild
-// aborts, the member stays failed, and the error is reported. Only one
-// rebuild may run at a time.
+// Rebuild restores every chunk a failed member held, paced at one chunk's
+// bytes per step. The host's layout picks the work:
+//
+//   - fixed: every stripe is reconstructed onto dest — a hot spare, or the
+//     member's own replaced node — under the per-stripe write lock, with a
+//     frontier so reads below it already go to dest. On success dest is
+//     promoted to be member's endpoint (FinishRebuild); on any stripe error
+//     the rebuild aborts and the member stays failed.
+//   - declustered: every chunk the layout places on the drive is
+//     reconstructed into an idle spare slot of its own row, so reads and
+//     writes spread over the whole cluster and the rebuild shortens as the
+//     cluster grows. dest is unused: each committed relocation heals its
+//     stripe at once, and on success the drive is retired in the layout,
+//     never to be placed on again.
+//
+// Only one rebuild may run at a time.
 func (r *Rebuilder) Rebuild(member int, dest core.NodeID, cb func(error)) {
 	if r.status.Active {
 		r.eng.Defer(func() { cb(fmt.Errorf("repair: rebuild of member %d already active", r.status.Member)) })
 		return
 	}
-	total := r.TotalStripes()
-	r.status = RebuildStatus{Active: true, Member: member, Dest: dest, TotalStripes: total}
-	r.host.StartRebuild(member, dest)
-	if r.tracer.Enabled() {
-		r.span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("rebuild m%d→n%d", member, int(dest)),
-			trace.I64("stripes", total))
+	decl := r.host.Declustered()
+	var slots []placement.Slot
+	var span *trace.Op
+	if decl {
+		slots = r.host.PlacementSlots(member)
+		r.status = RebuildStatus{Active: true, Member: member, TotalStripes: int64(len(slots))}
+		span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("declustered rebuild d%d", member),
+			trace.I64("chunks", r.status.TotalStripes))
+	} else {
+		r.status = RebuildStatus{Active: true, Member: member, Dest: dest, TotalStripes: r.TotalStripes()}
+		r.host.StartRebuild(member, dest)
+		span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("rebuild m%d→n%d", member, int(dest)),
+			trace.I64("stripes", r.status.TotalStripes))
 	}
-	gap := r.stripeGap()
-	lastStart := r.eng.Now()
 
+	step := func(i int64, next func(error)) {
+		stripe, op := i, r.host.RebuildStripe
+		if decl {
+			stripe, op = slots[i].Stripe, r.host.RebuildSlot
+		}
+		lostBefore := r.host.LostRegionsEver()
+		op(stripe, member, func(err error) {
+			if delta := r.host.LostRegionsEver() - lostBefore; delta > 0 {
+				r.status.LostRegions += delta
+				if r.cfg.OnLost != nil {
+					r.cfg.OnLost(stripe)
+				}
+			}
+			if err != nil {
+				next(fmt.Errorf("repair: member %d stripe %d: %w", member, stripe, err))
+				return
+			}
+			r.status.DoneStripes = i + 1
+			next(nil)
+		})
+	}
 	finish := func(err error) {
-		if err == nil {
+		if decl {
+			if err == nil {
+				r.host.RetireDrive(member)
+			}
+		} else if err == nil {
 			r.host.FinishRebuild(member)
 		} else {
 			r.host.AbortRebuild(member)
 		}
-		if r.span != nil {
-			result := "ok"
-			if err != nil {
-				result = "aborted"
-			}
-			r.span.End(trace.Str("result", result))
-			r.span = nil
-		}
+		span.End(outcome(err))
 		r.status.Active = false
 		cb(err)
 	}
-
-	var step func(stripe int64)
-	step = func(stripe int64) {
-		if stripe >= total {
-			finish(nil)
-			return
-		}
-		run := func() {
-			lastStart = r.eng.Now()
-			lostBefore := r.host.LostRegionsEver()
-			r.host.RebuildStripe(stripe, member, func(err error) {
-				if delta := r.host.LostRegionsEver() - lostBefore; delta > 0 {
-					r.status.LostRegions += delta
-					if r.cfg.OnLost != nil {
-						r.cfg.OnLost(stripe)
-					}
-				}
-				if err != nil {
-					finish(fmt.Errorf("repair: member %d stripe %d: %w", member, stripe, err))
-					return
-				}
-				r.status.DoneStripes = stripe + 1
-				step(stripe + 1)
-			})
-		}
-		// Token bucket: the next stripe may not start before the previous
-		// one's bytes have "drained" at the configured rate. A shared
-		// limiter reserves from the cross-volume budget instead.
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
+	r.end = r.cfg.walker(r.eng, r.host).walk(r.status.TotalStripes, step, finish)
 }
 
-// pace schedules run according to the rebuild rate: reserving one chunk's
-// bytes from the shared limiter when configured, else spacing starts by the
-// private token-bucket gap anchored at *lastStart.
-func (r *Rebuilder) pace(lastStart *sim.Time, gap sim.Duration, run func()) {
-	if r.cfg.Limiter != nil {
-		if wait := r.cfg.Limiter.Reserve(r.host.Geometry().ChunkSize); wait > 0 {
-			r.eng.After(wait, run)
-		} else {
-			r.eng.Defer(run)
-		}
-		return
-	}
-	if wait := sim.Duration(*lastStart+sim.Time(gap)) - sim.Duration(r.eng.Now()); gap > 0 && wait > 0 {
-		r.eng.After(wait, run)
-	} else {
-		r.eng.Defer(run)
-	}
-}
-
-// RebuildDrive is the declustered many-to-many rebuild: every chunk the
-// layout places on the failed drive is reconstructed into an idle spare
-// slot of its own row, so both the reconstruction reads and the replacement
-// writes spread over the whole cluster and the rebuild shortens as the
-// cluster grows. There is no spare endpoint and no frontier — each
-// committed relocation immediately heals its stripe — and on success the
-// drive is retired in the layout, never to be placed on again. The same
-// rate budget paces it: one chunk's bytes per relocation.
-func (r *Rebuilder) RebuildDrive(drive int, cb func(error)) {
+// Abandon ends the active rebuild with err when its current step can never
+// complete (the engine drained with the rebuild still running). The
+// rebuild's callback receives err, the member stays failed, and the
+// rebuilder is idle again. No-op when no rebuild is active.
+func (r *Rebuilder) Abandon(err error) {
 	if r.status.Active {
-		r.eng.Defer(func() { cb(fmt.Errorf("repair: rebuild of member %d already active", r.status.Member)) })
-		return
+		r.end(err)
 	}
-	slots := r.host.PlacementSlots(drive)
-	r.status = RebuildStatus{Active: true, Member: drive, TotalStripes: int64(len(slots))}
-	if r.tracer.Enabled() {
-		r.span = r.tracer.Begin(r.track, "repair", fmt.Sprintf("declustered rebuild d%d", drive),
-			trace.I64("chunks", int64(len(slots))))
-	}
-	gap := r.stripeGap()
-	lastStart := r.eng.Now()
-
-	finish := func(err error) {
-		if err == nil {
-			r.host.RetireDrive(drive)
-		}
-		if r.span != nil {
-			result := "ok"
-			if err != nil {
-				result = "aborted"
-			}
-			r.span.End(trace.Str("result", result))
-			r.span = nil
-		}
-		r.status.Active = false
-		cb(err)
-	}
-
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(slots) {
-			finish(nil)
-			return
-		}
-		run := func() {
-			lastStart = r.eng.Now()
-			lostBefore := r.host.LostRegionsEver()
-			r.host.RebuildSlot(slots[i].Stripe, drive, func(err error) {
-				if delta := r.host.LostRegionsEver() - lostBefore; delta > 0 {
-					r.status.LostRegions += delta
-					if r.cfg.OnLost != nil {
-						r.cfg.OnLost(slots[i].Stripe)
-					}
-				}
-				if err != nil {
-					finish(fmt.Errorf("repair: drive %d stripe %d: %w", drive, slots[i].Stripe, err))
-					return
-				}
-				r.status.DoneStripes = int64(i + 1)
-				step(i + 1)
-			})
-		}
-		r.pace(&lastStart, gap, run)
-	}
-	step(0)
 }

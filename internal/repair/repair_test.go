@@ -3,6 +3,7 @@ package repair_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -296,36 +297,129 @@ func TestRebuildCopiesMemberToSpare(t *testing.T) {
 	}
 }
 
-func TestRebuildThrottleRate(t *testing.T) {
-	elapsed := func(rateMBps float64) sim.Time {
-		cl, h := testCluster(t, 5, 1, raid.Raid5)
-		seedDevice(t, cl, h, 7)
+// TestRepairPacing pins the one paced walker under every job that uses it.
+// Each step's bytes drain at the configured rate, so a job of n steps of c
+// bytes at R MB/s spans at least (n-1)·c/R of virtual time (a shared
+// limiter lets the first step start at once), and the same job unthrottled
+// finishes under that floor. Two rebuilds drawing on one shared limiter
+// split its rate, so together they take about twice as long as one.
+func TestRepairPacing(t *testing.T) {
+	const rateMBps = 100
+	stripes := int64(4<<20) / chunkSize
+	floor := func(steps, cost int64) sim.Duration {
+		return sim.Duration(float64((steps-1)*cost) / (rateMBps * 1e6 / 1e9))
+	}
+	rebuild := func(t *testing.T, cl *cluster.Cluster, h *core.HostController, cfg repair.RebuilderConfig, dest core.NodeID) *error {
+		t.Helper()
 		cl.FailTarget(2)
 		h.SetFailed(2, true)
-		reb := repair.NewRebuilder(cl.Rt, h, repair.RebuilderConfig{RateMBps: rateMBps}, nil)
-		start := cl.Rt.Now()
 		rebErr := errors.New("not done")
-		reb.Rebuild(2, cl.SpareIDs()[0], func(err error) { rebErr = err })
-		cl.Rt.Run()
-		if rebErr != nil {
-			t.Fatalf("rebuild at %v MB/s: %v", rateMBps, rebErr)
-		}
-		return cl.Rt.Now() - start
+		repair.NewRebuilder(cl.Rt, h, cfg, nil).Rebuild(2, dest, func(err error) { rebErr = err })
+		return &rebErr
 	}
+	for _, tc := range []struct {
+		name  string
+		floor sim.Duration
+		// run starts the job at rate (0: unthrottled) and returns its result
+		// once the engine drains.
+		run func(t *testing.T, cl *cluster.Cluster, rate float64) []*error
+	}{
+		{name: "rebuild", floor: floor(stripes, chunkSize),
+			run: func(t *testing.T, cl *cluster.Cluster, rate float64) []*error {
+				h := newHost(t, cl)
+				return []*error{rebuild(t, cl, h, repair.RebuilderConfig{RateMBps: rate}, cl.SpareIDs()[0])}
+			}},
+		{name: "scrub", floor: floor(stripes, 5*chunkSize),
+			run: func(t *testing.T, cl *cluster.Cluster, rate float64) []*error {
+				h := newHost(t, cl)
+				scrubErr := errors.New("not done")
+				repair.NewScrubber(cl.Rt, h, repair.ScrubberConfig{RateMBps: rate}, nil).RunPass(
+					func(st repair.ScrubStatus, err error) {
+						if scrubErr = err; err == nil && st.ScrubbedStripes != stripes {
+							scrubErr = fmt.Errorf("scrubbed %d stripes, want %d", st.ScrubbedStripes, stripes)
+						}
+					})
+				return []*error{&scrubErr}
+			}},
+		{name: "shared limiter", floor: floor(2*stripes, chunkSize),
+			run: func(t *testing.T, cl *cluster.Cluster, rate float64) []*error {
+				cfg := repair.RebuilderConfig{Limiter: repair.NewRateLimiter(cl.Rt, rate)}
+				var errs []*error
+				for i := 0; i < 2; i++ {
+					h := newHost(t, cl)
+					errs = append(errs, rebuild(t, cl, h, cfg, cl.SpareIDs()[i]))
+				}
+				return errs
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			elapsed := func(rate float64) sim.Duration {
+				spec := cluster.DefaultSpec()
+				spec.Targets, spec.Spares = 5, 2
+				drv := ssd.DefaultSpec()
+				drv.Capacity = 8 << 20 // room for two 4 MiB volumes
+				spec.Drive = &drv
+				cl := cluster.New(spec)
+				start := cl.Rt.Now()
+				errs := tc.run(t, cl, rate)
+				cl.Rt.Run()
+				for _, err := range errs {
+					if *err != nil {
+						t.Fatalf("at %v MB/s: %v", rate, *err)
+					}
+				}
+				return sim.Duration(cl.Rt.Now() - start)
+			}
+			if got := elapsed(rateMBps); got < tc.floor {
+				t.Errorf("at %d MB/s took %v, floor is %v", rateMBps, got, tc.floor)
+			}
+			if got := elapsed(0); got >= tc.floor {
+				t.Errorf("unthrottled took %v, not under the paced floor %v", got, tc.floor)
+			}
+		})
+	}
+}
 
-	unthrottled := elapsed(0)
-	throttled := elapsed(100)
+// Abandon ends a rebuild whose step never completes (Array.RebuildDrive's
+// stall path): the callback gets the error at once, the member stays
+// failed, the rebuilder is idle, and a late step completion does not revive
+// the walk.
+func TestRebuildAbandon(t *testing.T) {
+	cl, h := testCluster(t, 5, 1, raid.Raid5)
+	cl.FailTarget(2)
+	h.SetFailed(2, true)
+	reb := repair.NewRebuilder(cl.Rt, h, repair.RebuilderConfig{}, nil)
+	rebErr := errors.New("not done")
+	reb.Rebuild(2, cl.SpareIDs()[0], func(err error) { rebErr = err })
+	cl.Rt.RunFor(50 * sim.Microsecond) // a stripe is in flight
+	stall := errors.New("stalled")
+	reb.Abandon(stall)
+	if !errors.Is(rebErr, stall) {
+		t.Fatalf("callback got %v, want the abandon error", rebErr)
+	}
+	done := reb.Status().DoneStripes
+	cl.Rt.Run()
+	// Only the stripe already in flight may still land.
+	if st := reb.Status(); st.Active || st.DoneStripes > done+1 {
+		t.Fatalf("walk went on after Abandon: %+v (done was %d)", st, done)
+	}
+	if _, _, ok := h.Rebuilding(2); ok || len(h.FailedMembers()) != 1 {
+		t.Fatalf("member 2 rebuilding=%v failed=%v, want failed and not rebuilding", ok, h.FailedMembers())
+	}
+}
 
-	// 64 rebuilt chunks at 100 MB/s: at least 63 inter-stripe gaps of
-	// chunkSize/rate virtual time each.
-	stripes := int64(4<<20) / chunkSize
-	minThrottled := sim.Time(float64(stripes-1) * float64(chunkSize) / (100 * 1e6 / 1e9))
-	if throttled < minThrottled {
-		t.Fatalf("throttled rebuild took %v, floor is %v", throttled, minThrottled)
+// newHost registers a RAID-5 volume over the next 4 MiB of the cluster's
+// five targets.
+func newHost(t *testing.T, cl *cluster.Cluster) *core.HostController {
+	t.Helper()
+	vol, err := cl.AddVolume(fmt.Sprintf("v%d", len(cl.Volumes())), 4<<20, core.Config{
+		Geometry: raid.Geometry{Level: raid.Raid5, Width: 5, ChunkSize: chunkSize},
+		Deadline: 5 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if unthrottled >= throttled {
-		t.Fatalf("unthrottled (%v) not faster than throttled (%v)", unthrottled, throttled)
-	}
+	return vol.Host
 }
 
 // --- Supervisor end to end --------------------------------------------------

@@ -65,7 +65,6 @@ type Scrubber struct {
 
 	track  trace.Track
 	tracer *trace.Collector
-	span   *trace.Op
 }
 
 // NewScrubber builds a scrubber for the host. Call Start for periodic
@@ -113,18 +112,6 @@ func (s *Scrubber) RunPass(cb func(ScrubStatus, error)) {
 	s.pass(false, cb)
 }
 
-// stripeGap returns the token-bucket spacing between stripe starts at the
-// private rate: a scrub touches every chunk of the stripe.
-func (s *Scrubber) stripeGap() sim.Duration {
-	if s.cfg.RateMBps <= 0 {
-		return 0
-	}
-	geo := s.host.Geometry()
-	stripeBytes := int64(geo.Width) * geo.ChunkSize
-	bytesPerNs := s.cfg.RateMBps * 1e6 / 1e9
-	return sim.Duration(float64(stripeBytes) / bytesPerNs)
-}
-
 // pass walks every stripe once. bg selects background timers (periodic
 // passes) vs foreground timers (RunPass).
 func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
@@ -140,30 +127,11 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 	s.status.Active = true
 	s.status.Stripe = 0
 	s.status.TotalStripes = total
-	if s.tracer.Enabled() {
-		s.span = s.tracer.Begin(s.track, "repair", fmt.Sprintf("scrub pass %d", s.status.Passes),
-			trace.I64("stripes", total))
-	}
-	schedule := func(d sim.Duration, fn func()) {
-		if bg {
-			s.eng.AfterBG(d, fn)
-		} else if d > 0 {
-			s.eng.After(d, fn)
-		} else {
-			s.eng.Defer(fn)
-		}
-	}
-	gap := s.stripeGap()
-	stripeBytes := int64(geo.Width) * geo.ChunkSize
-	lastStart := s.eng.Now()
-
-	finish := func() {
+	span := s.tracer.Begin(s.track, "repair", fmt.Sprintf("scrub pass %d", s.status.Passes), trace.I64("stripes", total))
+	finish := func(error) {
 		s.status.Active = false
 		s.status.Passes++
-		if s.span != nil {
-			s.span.End(trace.Str("result", "ok"))
-			s.span = nil
-		}
+		span.End(outcome(nil))
 		s.event("scrub-pass", -1, fmt.Sprintf("pass %d: %d stripes, %d media repairs, %d parity repairs",
 			s.status.Passes, total, s.status.MediaRepairs, s.status.ParityRepairs))
 		if cb != nil {
@@ -173,51 +141,40 @@ func (s *Scrubber) pass(bg bool, cb func(ScrubStatus, error)) {
 			s.eng.AfterBG(s.cfg.Interval, func() { s.pass(true, nil) })
 		}
 	}
-
-	var step func(stripe int64)
-	step = func(stripe int64) {
-		if stripe >= total || (bg && s.stopped) {
-			finish()
-			return
-		}
-		run := func() {
-			lastStart = s.eng.Now()
-			s.status.Stripe = stripe
-			lostBefore := s.host.LostRegionsEver()
-			s.host.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
-				if delta := s.host.LostRegionsEver() - lostBefore; delta > 0 {
-					s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
+	step := func(stripe int64, next func(error)) {
+		s.status.Stripe = stripe
+		lostBefore := s.host.LostRegionsEver()
+		s.host.ScrubStripe(stripe, func(res core.ScrubResult, err error) {
+			if delta := s.host.LostRegionsEver() - lostBefore; delta > 0 {
+				s.event("lost-region", stripe, fmt.Sprintf("%d range(s) lost during scrub", delta))
+			}
+			switch {
+			case err != nil:
+				// One bad stripe must not wedge the pass: note it, move on.
+				s.status.Errors++
+				s.event("scrub-error", stripe, err.Error())
+			case res.Skipped:
+				s.status.SkippedStripes++
+			default:
+				s.status.ScrubbedStripes++
+				if res.MediaRepairs > 0 || res.ParityRepairs > 0 {
+					s.status.MediaRepairs += int64(res.MediaRepairs)
+					s.status.ParityRepairs += int64(res.ParityRepairs)
+					s.event("scrub-repair", stripe, fmt.Sprintf("%d media, %d parity chunk(s) rewritten",
+						res.MediaRepairs, res.ParityRepairs))
 				}
-				switch {
-				case err != nil:
-					// One bad stripe must not wedge the pass: note it, move on.
-					s.status.Errors++
-					s.event("scrub-error", stripe, err.Error())
-				case res.Skipped:
-					s.status.SkippedStripes++
-				default:
-					s.status.ScrubbedStripes++
-					if res.MediaRepairs > 0 || res.ParityRepairs > 0 {
-						s.status.MediaRepairs += int64(res.MediaRepairs)
-						s.status.ParityRepairs += int64(res.ParityRepairs)
-						s.event("scrub-repair", stripe, fmt.Sprintf("%d media, %d parity chunk(s) rewritten",
-							res.MediaRepairs, res.ParityRepairs))
-					}
-				}
-				step(stripe + 1)
-			})
-		}
-		if s.cfg.Limiter != nil {
-			schedule(s.cfg.Limiter.Reserve(stripeBytes), run)
-			return
-		}
-		if wait := sim.Duration(lastStart+sim.Time(gap)) - sim.Duration(s.eng.Now()); gap > 0 && wait > 0 {
-			schedule(wait, run)
-		} else {
-			schedule(0, run)
-		}
+			}
+			next(nil)
+		})
 	}
-	step(0)
+	// A scrub touches every chunk of the stripe, so each step costs a
+	// whole stripe's bytes.
+	w := walker{eng: s.eng, RateMBps: s.cfg.RateMBps, Limiter: s.cfg.Limiter,
+		cost: int64(geo.Width) * geo.ChunkSize, bg: bg}
+	if bg {
+		w.halt = func() bool { return s.stopped }
+	}
+	w.walk(total, step, finish)
 }
 
 func (s *Scrubber) event(kind string, stripe int64, detail string) {

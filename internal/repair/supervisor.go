@@ -53,10 +53,10 @@ type Supervisor struct {
 	rebal *Rebalancer
 	scrub *Scrubber
 
-	spares  *core.SparePool
-	queue   []int // failed members awaiting a spare or the rebuilder
-	events  []Event
-	tracer  *trace.Collector
+	spares *core.SparePool
+	queue  []int // failed members awaiting a spare or the rebuilder
+	events []Event
+	tracer *trace.Collector
 }
 
 // NewSupervisor wires detector + rebuilder onto the host and installs the
@@ -184,49 +184,63 @@ func (s *Supervisor) handleFail(member int) {
 	s.tryRebuild()
 }
 
-// tryRebuild launches the next queued rebuild if a spare can be claimed and
-// the rebuilder is idle. With a shared pool, the claim races supervisors of
-// co-tenant volumes degraded by the same fault; engine order decides, and
-// the loser keeps its member queued until a spare frees up.
+// tryRebuild launches the next queued rebuild if the rebuilder is idle —
+// into distributed spare slots on a declustered layout, else onto a claimed
+// spare. Queued members that no longer need a rebuild (a manual rebuild got
+// there first) are dropped. With a shared pool, the spare claim races
+// supervisors of co-tenant volumes degraded by the same fault; engine order
+// decides, and the loser keeps its member queued until a spare frees up.
 func (s *Supervisor) tryRebuild() {
+	for len(s.queue) > 0 && !s.host.NeedsRebuild(s.queue[0]) {
+		s.queue = s.queue[1:]
+	}
 	if len(s.queue) == 0 || s.reb.Status().Active {
 		return
 	}
-	if s.host.Declustered() {
-		// Many-to-many rebuild: the failed drive's chunks relocate into the
-		// rows' distributed spare slots — no spare endpoint is claimed, and
-		// the drive stays failed (and retired) afterwards, so the detector
-		// state is deliberately not reset.
-		drive := s.queue[0]
-		s.queue = s.queue[1:]
-		s.log("rebuild-start", drive, "declustered: relocating onto distributed spare slots")
-		s.reb.RebuildDrive(drive, func(err error) {
-			if err != nil {
-				s.log("rebuild-error", drive, err.Error())
-			} else {
-				s.log("rebuild-done", drive, "chunks relocated; drive retired")
-			}
-			s.tryRebuild()
-		})
-		return
-	}
-	spare, ok := s.spares.Claim()
-	if !ok {
-		return
+	var dest core.NodeID
+	if !s.host.Declustered() {
+		spare, ok := s.spares.Claim()
+		if !ok {
+			return
+		}
+		dest = spare
 	}
 	member := s.queue[0]
 	s.queue = s.queue[1:]
-	s.log("rebuild-start", member, fmt.Sprintf("onto spare node %d", int(spare)))
-	s.reb.Rebuild(member, spare, func(err error) {
-		if err != nil {
-			// The spare may hold partial state; do not return it to the
+	s.Rebuild(member, dest, func(error) {})
+}
+
+// Rebuild runs one member's rebuild on the supervisor's rebuilder, logs
+// its start and outcome in the recovery log, and then launches the next
+// queued rebuild. dest is a claimed spare, or the member's own (replaced)
+// node for a manual in-place rebuild; a declustered rebuild ignores it. cb
+// receives the rebuild's outcome after the log entry is written.
+func (s *Supervisor) Rebuild(member int, dest core.NodeID, cb func(error)) {
+	decl := s.host.Declustered()
+	if decl {
+		// Many-to-many rebuild: the failed drive's chunks relocate into the
+		// rows' distributed spare slots, and the drive stays failed (and
+		// retired) afterwards, so the detector state is deliberately not
+		// reset.
+		s.log("rebuild-start", member, "declustered: relocating onto distributed spare slots")
+	} else if dest == s.host.MemberNode(member) {
+		s.log("rebuild-start", member, fmt.Sprintf("in place on node %d", int(dest)))
+	} else {
+		s.log("rebuild-start", member, fmt.Sprintf("onto spare node %d", int(dest)))
+	}
+	s.reb.Rebuild(member, dest, func(err error) {
+		switch {
+		case err != nil:
+			// A spare may hold partial state; it does not return to the
 			// pool. The member stays failed (degraded service continues).
 			s.log("rebuild-error", member, err.Error())
-			s.tryRebuild()
-			return
+		case decl:
+			s.log("rebuild-done", member, "chunks relocated; drive retired")
+		default:
+			s.det.Reset(member)
+			s.log("rebuild-done", member, fmt.Sprintf("member now served by node %d", int(dest)))
 		}
-		s.det.Reset(member)
-		s.log("rebuild-done", member, fmt.Sprintf("member now served by node %d", int(spare)))
+		cb(err)
 		s.tryRebuild()
 	})
 }

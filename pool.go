@@ -6,7 +6,6 @@ import (
 
 	"draid/internal/cluster"
 	"draid/internal/core"
-	"draid/internal/placement"
 	"draid/internal/raid"
 	"draid/internal/recon"
 	"draid/internal/repair"
@@ -201,16 +200,8 @@ func (p *Pool) OpenVolume(cfg VolumeConfig) (*Array, error) {
 	}
 	Config{WriteBack: cfg.WriteBack, StageMB: cfg.StageMB, CacheMB: cfg.CacheMB,
 		DestageIntervalMs: cfg.DestageIntervalMs}.applyWriteBack(&hostCfg)
-	if cfg.Declustered {
-		width, drives, chunk, seed := cfg.Drives, p.cfg.Drives, cfg.ChunkSize, p.cfg.Seed
-		hostCfg.LayoutFor = func(base, extent int64) placement.Layout {
-			l, err := placement.NewDeclustered(base, extent, chunk, width, drives, seed)
-			if err != nil {
-				panic(err.Error()) // width/drive preconditions checked above
-			}
-			return l
-		}
-	}
+	hostCfg.LayoutFor = Config{Declustered: cfg.Declustered, Drives: cfg.Drives,
+		ClusterDrives: p.cfg.Drives, ChunkSize: cfg.ChunkSize, Seed: p.cfg.Seed}.layoutFor()
 	switch cfg.ReducerPolicy {
 	case ReducerRandom:
 	case ReducerFixed:
@@ -236,30 +227,9 @@ func (p *Pool) OpenVolume(cfg VolumeConfig) (*Array, error) {
 	arr := &Array{
 		cl: p.cl, host: vol.Host, dev: vol.Host,
 		clientNode: p.cl.HostNode, hostCfg: vol.Cfg, vol: vol,
+		rebuildCfg: repair.RebuilderConfig{RateMBps: p.cfg.RebuildRateMBps, Limiter: p.limiter},
 	}
-	if p.cfg.Spares > 0 || cfg.Health.Detect {
-		det := repair.DetectorConfig{
-			FailAfter:        cfg.Health.FailAfter,
-			HeartbeatTimeout: sim.Duration(cfg.Health.HeartbeatTimeout),
-			Grace:            sim.Duration(cfg.Health.Grace),
-			DegradeAfter:     cfg.Health.DegradeAfter,
-			EvictAfter:       cfg.Health.EvictAfter,
-		}
-		if cfg.Health.Detect {
-			det.HeartbeatEvery = sim.Duration(cfg.Health.HeartbeatEvery)
-			if det.HeartbeatEvery <= 0 {
-				det.HeartbeatEvery = 10 * sim.Millisecond
-			}
-		}
-		arr.sup = repair.NewSupervisor(p.cl.Rt, vol.Host, repair.Config{
-			Detector: det,
-			Rebuild:  repair.RebuilderConfig{RateMBps: p.cfg.RebuildRateMBps, Limiter: p.limiter},
-			Pool:     p.cl.Spares,
-		}, p.cl.Tracer)
-		if cfg.Health.Detect {
-			arr.sup.Start()
-		}
-	}
+	arr.attachSupervisor(Config{Spares: p.cfg.Spares, Health: cfg.Health})
 	p.arrays = append(p.arrays, arr)
 	return arr, nil
 }

@@ -148,3 +148,66 @@ func TestRecoveryTraceDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildDriveOneEngine: a manual RebuildDrive on a supervised array
+// runs on the supervisor's rebuild engine, so the supervisor's own deferred
+// reaction to the same failure neither panics nor rebuilds the member a
+// second time — not then, and not when a later failure wakes its queue.
+func TestRebuildDriveOneEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		cfg            draid.Config
+		victim, second int
+	}{
+		{"fixed", draid.Config{Drives: 5, Spares: 1}, 2, 0},
+		{"declustered", draid.Config{Drives: 4, Declustered: true, ClusterDrives: 8,
+			Health: draid.HealthConfig{Detect: true, HeartbeatEvery: time.Millisecond}}, 3, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.DriveCapacity = 4 << 20
+			arr := smallArray(t, tc.cfg)
+			model := randBytes(51, int(arr.Size()))
+			if err := arr.WriteSync(0, model); err != nil {
+				t.Fatal(err)
+			}
+			count := func(kind string) int {
+				n := 0
+				for _, e := range arr.RecoveryEvents() {
+					if e.Kind == kind && e.Member == tc.victim {
+						n++
+					}
+				}
+				return n
+			}
+
+			arr.FailDrive(tc.victim)
+			if err := arr.RebuildDrive(tc.victim); err != nil {
+				t.Fatalf("RebuildDrive: %v", err)
+			}
+			if s, d := count("rebuild-start"), count("rebuild-done"); s != 1 || d != 1 {
+				t.Fatalf("rebuild-start/done for m%d = %d/%d, want 1/1: %v", tc.victim, s, d, arr.RecoveryEvents())
+			}
+			if !tc.cfg.Declustered {
+				if got := arr.FailedDrives(); len(got) != 0 {
+					t.Fatalf("failed drives after rebuild = %v, want none", got)
+				}
+				if h := arr.MemberHealth()[tc.victim]; h != draid.Healthy {
+					t.Fatalf("member %d = %v after rebuild, want healthy", tc.victim, h)
+				}
+			}
+
+			arr.FailDrive(tc.second)
+			arr.Run()
+			if s := count("rebuild-start"); s != 1 {
+				t.Fatalf("m%d rebuilt %d times after a second failure: %v", tc.victim, s, arr.RecoveryEvents())
+			}
+			got, err := arr.ReadSync(0, arr.Size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, model) {
+				t.Fatal("device image diverged")
+			}
+		})
+	}
+}

@@ -25,11 +25,15 @@ go test -race -run '^TestScrub' . -count=1
 go test -race -count=1 ./internal/backend/...
 go run ./cmd/draid-fio -backend realtime -iosize 131072 -qd 8 -ramp 10ms -measure 40ms
 go run ./cmd/draid-fio -backend realtime -rt-tcp -iosize 65536 -qd 8 -ramp 10ms -measure 40ms
-# Declustered-placement smoke: rebuild + online expansion under -race, plus
-# the decluster figure (quick sim sweep) with its machine-checked
-# rebuild-shrinks-with-cluster-size expectations.
-go test -race -run 'TestDeclustered|TestAddDriveLiveTrafficP99|TestPoolAddDrive' . -count=1
+# Declustered-placement and recovery smoke: rebuild + online expansion and
+# the one-rebuild-engine regression under -race, the decluster figure
+# (quick sim sweep) with its machine-checked rebuild-shrinks-with-cluster-
+# size expectations, and detection → hot-spare rebuild end to end on
+# RAID-5 and RAID-6.
+go test -race -run 'TestDeclustered|TestAddDriveLiveTrafficP99|TestPoolAddDrive|TestRebuildDriveOneEngine' . -count=1
 go run ./cmd/draid-bench -fig decluster -quick
+go run ./cmd/draid-rebuild
+go run ./cmd/draid-rebuild -level 6 -drives 7
 # Membership chaos smoke: a small deterministic fault sweep (partition at
 # every step of a short write-back workload) plus the teeth pass — with
 # epoch enforcement injected off the same sweep must DETECT the zombie's

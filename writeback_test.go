@@ -204,7 +204,7 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 					failed = 1 + rng.Intn(4)
 					arr.FailDrive(failed)
 				case iter%15 == 13 && failed >= 0:
-					if err := arr.RebuildDrive(failed, 0); err != nil {
+					if err := arr.RebuildDrive(failed); err != nil {
 						t.Fatalf("iter %d rebuild: %v", iter, err)
 					}
 					failed = -1
@@ -215,7 +215,7 @@ func TestWritebackTortureCrashMidDestage(t *testing.T) {
 				}
 			}
 			if failed >= 0 {
-				if err := arr.RebuildDrive(failed, 0); err != nil {
+				if err := arr.RebuildDrive(failed); err != nil {
 					t.Fatal(err)
 				}
 			}
